@@ -15,8 +15,6 @@
 package anycast
 
 import (
-	"sort"
-
 	"clientmap/internal/geo"
 	"clientmap/internal/netx"
 	"clientmap/internal/randx"
@@ -126,27 +124,27 @@ func NewRouter(seed randx.Seed, pops []PoP) *Router {
 // PoPs returns the catalog the router was built over.
 func (r *Router) PoPs() []PoP { return r.pops }
 
-// nearest returns candidate indices sorted by distance from c.
-func (r *Router) nearest(c geo.Coord, candidates []int) []int {
-	type dp struct {
-		idx int
-		d   float64
-	}
-	ds := make([]dp, len(candidates))
-	for i, idx := range candidates {
-		ds[i] = dp{idx, geo.DistanceKm(c, r.pops[idx].Coord)}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].d != ds[j].d {
-			return ds[i].d < ds[j].d
+// scratchPoPs sizes the stack arrays routing sorts candidates into. The
+// catalog has 45 sites; a larger one spills to the heap and routes
+// identically.
+const scratchPoPs = 64
+
+// nearest appends candidate indices to order sorted by (distance from c,
+// catalog index), using dist as scratch for the distances. Insertion
+// into the caller's stack arrays keeps routing allocation-free; the
+// order is the same total order a comparison sort would produce.
+func (r *Router) nearest(order []int, dist []float64, c geo.Coord, candidates []int) []int {
+	for _, idx := range candidates {
+		d := geo.DistanceKm(c, r.pops[idx].Coord)
+		k := len(order)
+		order, dist = append(order, idx), append(dist, d)
+		for k > 0 && (dist[k-1] > d || dist[k-1] == d && order[k-1] > idx) {
+			order[k], dist[k] = order[k-1], dist[k-1]
+			k--
 		}
-		return ds[i].idx < ds[j].idx
-	})
-	out := make([]int, len(ds))
-	for i, d := range ds {
-		out[i] = d.idx
+		order[k], dist[k] = idx, d
 	}
-	return out
+	return order
 }
 
 // popRankProbs is the probability a prefix routes to its k-th nearest
@@ -163,13 +161,23 @@ var popRankProbs = []float64{0.72, 0.16, 0.07, 0.03, 0.02}
 // them even when nearby (appendix A.1 finds those 5 sites carry only 5%
 // of Google Public DNS query volume).
 func (r *Router) PoPForClient(p netx.Slash24, c geo.Coord) int {
-	order := r.nearest(c, r.activeIdx)
+	var ob, keptb [scratchPoPs]int
+	var db [scratchPoPs]float64
+	order := r.nearest(ob[:0], db[:0], c, r.activeIdx)
+	// Hash keys "anycast/{small,client,detour}/<p>[/<pop>]", byte-built in
+	// stack scratch: the bytes equal the former string concatenations
+	// (pinned by TestRouteKeyBytesMatchConcat), so every route is unchanged.
+	var keyb [64]byte
+	key := append(keyb[:0], "anycast/small/"...)
+	key = p.AppendTo(key)
+	key = append(key, '/')
+	base := len(key)
 	// Thin out small sites deterministically per prefix.
-	kept := order[:0:0]
+	kept := keptb[:0]
 	for _, idx := range order {
 		pop := r.pops[idx]
 		if pop.Active && !pop.CloudReachable &&
-			r.seed.HashUnit("anycast/small/"+p.String()+"/"+pop.Name) < 0.75 {
+			r.seed.HashUnitB(append(key[:base], pop.Name...)) < 0.75 {
 			continue
 		}
 		kept = append(kept, idx)
@@ -177,7 +185,8 @@ func (r *Router) PoPForClient(p netx.Slash24, c geo.Coord) int {
 	if len(kept) > 0 {
 		order = kept
 	}
-	u := r.seed.HashUnit("anycast/client/" + p.String())
+	key = p.AppendTo(append(keyb[:0], "anycast/client/"...))
+	u := r.seed.HashUnitB(key)
 	acc := 0.0
 	for k, prob := range popRankProbs {
 		if k >= len(order) {
@@ -193,14 +202,17 @@ func (r *Router) PoPForClient(p netx.Slash24, c geo.Coord) int {
 	if n > 6 {
 		n = 6
 	}
-	return order[int(r.seed.Hash64("anycast/detour/"+p.String()))%n]
+	key = p.AppendTo(append(keyb[:0], "anycast/detour/"...))
+	return order[int(r.seed.Hash64B(key))%n]
 }
 
 // PoPForVantage returns the catalog index of the PoP a cloud vantage point
 // at c reaches. Cloud networks have clean routes to nearby cloud-reachable
 // sites, so this is simply the nearest candidate.
 func (r *Router) PoPForVantage(c geo.Coord) int {
-	order := r.nearest(c, r.cloudIdx)
+	var ob [scratchPoPs]int
+	var db [scratchPoPs]float64
+	order := r.nearest(ob[:0], db[:0], c, r.cloudIdx)
 	if len(order) == 0 {
 		return -1
 	}

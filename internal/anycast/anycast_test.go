@@ -57,7 +57,9 @@ func TestRouterClientDeterministic(t *testing.T) {
 func TestRouterMostClientsNearby(t *testing.T) {
 	r := NewRouter(2, Catalog())
 	amsterdam := geo.Coord{Lat: 52.37, Lon: 4.9}
-	nearest := r.nearest(amsterdam, r.activeIdx)[0]
+	var ob [scratchPoPs]int
+	var db [scratchPoPs]float64
+	nearest := r.nearest(ob[:0], db[:0], amsterdam, r.activeIdx)[0]
 	nearestCount, total := 0, 2000
 	for i := 0; i < total; i++ {
 		p := netx.Slash24(i * 7)

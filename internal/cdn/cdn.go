@@ -12,7 +12,6 @@
 package cdn
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -62,6 +61,12 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 
 	msft := microsoftDomain()
 
+	// One count stream reseeded per sample instead of a fresh ~5KB source
+	// per call, and "cdn/{http,ecs}/<p>" keys byte-built in stack scratch:
+	// the bytes equal the former fmt.Sprintf("cdn/http/%v") keys, so
+	// CountInDR draws exactly the counts CountInD drew.
+	rng := w.Cfg.Seed.New("cdn/count-scratch")
+	var kb [48]byte
 	for i := range w.Prefixes {
 		pi := &w.Prefixes[i]
 		if !pi.HasClients() {
@@ -70,7 +75,8 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 		as := w.ASes[pi.ASIdx]
 
 		// HTTP request volume over the day.
-		reqs := model.CountInD(fmt.Sprintf("cdn/http/%v", pi.P), model.HTTPRate(pi), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
+		key := pi.P.AppendTo(append(kb[:0], "cdn/http/"...))
+		reqs := model.CountInDR(rng, key, model.HTTPRate(pi), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
 		if reqs > 0 {
 			clients.Volume[pi.P] += int64(reqs)
 			clients.Total += int64(reqs)
@@ -88,7 +94,7 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 				resolvers.Total += ispIPs
 			}
 			if googleIPs > 0 {
-				pop := model.Router.PoPForClient(pi.P, pi.Coord)
+				pop := model.ClientPoP(i)
 				resolvers.ClientIPs[w.GoogleEgress(pop)] += googleIPs
 				resolvers.Total += googleIPs
 			}
@@ -97,7 +103,8 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 		// Traffic Manager ECS view: Google forwards the client /24 as ECS
 		// when resolving the Microsoft domain. (Other large ECS-capable
 		// publics exist but Google dominates; the paper's DNS-side view.)
-		gq := model.CountInD(fmt.Sprintf("cdn/ecs/%v", pi.P), model.GoogleDNSRate(pi, msft), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
+		key = pi.P.AppendTo(append(kb[:0], "cdn/ecs/"...))
+		gq := model.CountInDR(rng, key, model.GoogleDNSRate(pi, msft), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
 		if gq > 0 {
 			p := pi.P.Prefix()
 			ecs.Queries[p] += int64(gq)

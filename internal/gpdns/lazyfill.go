@@ -19,6 +19,12 @@ import (
 // the PoP anycast assigns it), splits the rate evenly across the PoP's
 // cache pools, and asks the traffic model's deterministic Poisson sampler
 // for the most recent arrival within the record's TTL.
+//
+// Two memos back it. The (domain, scope) rate lines are owned here and
+// dropped by Invalidate when churn moves the rates. Each /24's route
+// is the traffic model's ClientPoP memo, which is shared with the roots
+// and CDN generators and outlives Invalidate: churn never changes a
+// route.
 type LazyFill struct {
 	model   *traffic.Model
 	catalog map[string]domains.Domain
@@ -67,7 +73,8 @@ func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
 // churns the world. The stream calls Invalidate after applying each
 // hour's churn events, so both a continuous run and a resumed run
 // recompute rates from the same post-churn world instead of one of them
-// serving stale memo entries.
+// serving stale memo entries. The model's per-/24 route memo is kept:
+// routes do not depend on anything churn changes.
 func (lf *LazyFill) Invalidate() {
 	lf.mu.Lock()
 	lf.rates = make(map[ratesKey]*scopeRates)
@@ -75,7 +82,9 @@ func (lf *LazyFill) Invalidate() {
 }
 
 // ratesFor aggregates (and memoizes) the per-PoP client query rates for a
-// (domain, scope) cache line.
+// (domain, scope) cache line. Rates are read from the live world on a
+// memo miss; each client /24's PoP comes from the model's route memo,
+// so a line rebuilt after Invalidate routes no prefix twice.
 func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 	key := ratesKey{name: d.Name, scope: scope}
 	lf.mu.RLock()
@@ -88,9 +97,14 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 	r = &scopeRates{perPoP: make(map[int]float64)}
 	first := true
 	var rateSum, diurnSum float64
+	w := lf.model.W
 	scope.Slash24s(func(p netx.Slash24) bool {
-		pi, ok := lf.model.W.PrefixInfoOf(p)
-		if !ok || !pi.HasClients() {
+		i, ok := w.IndexOf(p)
+		if !ok {
+			return true
+		}
+		pi := &w.Prefixes[i]
+		if !pi.HasClients() {
 			return true
 		}
 		if first {
@@ -101,7 +115,7 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 		if rate <= 0 {
 			return true
 		}
-		pop := lf.model.Router.PoPForClient(p, pi.Coord)
+		pop := lf.model.ClientPoP(i)
 		r.perPoP[pop] += rate
 		rateSum += rate
 		diurnSum += rate * float64(pi.Diurnality)

@@ -109,7 +109,7 @@ func (g *Generator) sources() []source {
 		}
 		as := g.model.W.ASes[pi.ASIdx]
 		probes := g.model.ChromiumProbeRate(pi)
-		pop := g.model.Router.PoPForClient(pi.P, pi.Coord)
+		pop := g.model.ClientPoP(i)
 		popRate[pop] += probes * as.GoogleDNSShare * (1 - g.model.Tun.GoogleRootSuppression)
 	}
 	var out []source

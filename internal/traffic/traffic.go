@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"clientmap/internal/anycast"
@@ -69,6 +70,9 @@ type Model struct {
 	seed    randx.Seed
 	catalog []domains.Domain
 	weightN float64 // normalizer for domain query weights
+	// routes memoizes ClientPoP per W.Prefixes index: 0 means not yet
+	// routed, any other value is the PoP index plus one.
+	routes []atomic.Int32
 }
 
 // NewModel builds the workload model for w.
@@ -79,9 +83,27 @@ func NewModel(w *world.World, router *anycast.Router, tun Tunables) *Model {
 		Tun:     tun,
 		seed:    w.Cfg.Seed,
 		catalog: domains.Catalog(),
+		routes:  make([]atomic.Int32, len(w.Prefixes)),
 	}
 	m.weightN = domains.TotalQueryWeight()
 	return m
+}
+
+// ClientPoP returns the catalog index of the PoP the clients of
+// W.Prefixes[i] reach: Router.PoPForClient of the /24 and its
+// coordinate, computed on first use and memoized. A route depends only
+// on (seed, catalog, /24, coordinate), and churn changes none of these
+// (Realloc keeps P and Coord; PoP windows act on the scheduler, not on
+// routing), so the memo is never invalidated. Concurrent first calls
+// may both route the prefix; they store the same value.
+func (m *Model) ClientPoP(i int) int {
+	if v := m.routes[i].Load(); v != 0 {
+		return int(v - 1)
+	}
+	pi := &m.W.Prefixes[i]
+	pop := m.Router.PoPForClient(pi.P, pi.Coord)
+	m.routes[i].Store(int32(pop + 1))
+	return pop
 }
 
 // Diurnal returns the activity multiplier at time t for a client at the

@@ -158,6 +158,14 @@ func (w *World) ASOf(a netx.Addr) (*AS, bool) {
 	return w.ASes[idx], true
 }
 
+// IndexOf returns the index of an announced /24 in Prefixes. Churn never
+// grows, shrinks or reorders Prefixes, so an index is stable for the
+// world's lifetime and can key per-prefix side tables.
+func (w *World) IndexOf(p netx.Slash24) (int, bool) {
+	idx, ok := w.byPrefix[p]
+	return int(idx), ok
+}
+
 // PrefixInfoOf returns the ground truth for a /24, if announced.
 func (w *World) PrefixInfoOf(p netx.Slash24) (*PrefixInfo, bool) {
 	idx, ok := w.byPrefix[p]

@@ -264,6 +264,18 @@ func TestPrefixInfoOf(t *testing.T) {
 	}
 }
 
+func TestIndexOf(t *testing.T) {
+	w := tinyWorld(t, 42)
+	for i := range w.Prefixes {
+		if got, ok := w.IndexOf(w.Prefixes[i].P); !ok || got != i {
+			t.Fatalf("IndexOf(%v) = %d, %v; want %d, true", w.Prefixes[i].P, got, ok, i)
+		}
+	}
+	if _, ok := w.IndexOf(netx.Slash24(10)); ok {
+		t.Error("IndexOf succeeded for unallocated prefix")
+	}
+}
+
 func TestCategoryMixRoughlyMatchesShares(t *testing.T) {
 	cfg := Config{Seed: 5, Scale: ScaleSmall, Params: DefaultParams()}
 	w, err := Generate(cfg)
