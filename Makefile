@@ -2,11 +2,12 @@ GO ?= go
 
 .PHONY: build test race vet bench bench-smoke check cover fuzz-smoke golden-update serve-smoke
 
-# Packages whose coverage is gated in CI: the wire/transport layer, the
-# measurement cores, the stage runner, the snapshot codecs, the metrics
-# registry, the degradation layer, and the simulated world + traffic
-# models, where an untested branch is a silently wrong result.
-COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/...
+# Packages whose coverage is gated in CI: the random streams every golden
+# corpus is drawn from, the wire/transport layer, the measurement cores,
+# the stage runner, the snapshot codecs, the metrics registry, the
+# degradation layer, and the simulated world + traffic models, where an
+# untested branch is a silently wrong result.
+COVER_PKGS = ./internal/randx/... ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/...
 COVER_FLOOR = 70
 # The metrics registry, the health layer, the snapshot codecs, the
 # stage runner, the serving layer, the world/traffic substrate, and the
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPQuery -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/statefs
+	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/randx
 
 # golden-update regenerates the golden regression corpus (the headline
 # statistics of a fixed small-scale campaign, the degraded-mode stats of

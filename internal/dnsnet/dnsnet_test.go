@@ -245,3 +245,54 @@ func TestTokenBucketCapsAtBurst(t *testing.T) {
 		t.Errorf("granted %d tokens after long idle, want burst cap 3", granted)
 	}
 }
+
+// TestMemNetRegisterDuringExchange mounts and unmounts handlers while
+// other goroutines exchange through the network: every exchange with the
+// stable server must succeed, every exchange with the churning one must
+// either succeed or report ErrNoSuchServer, and the race detector must
+// stay quiet.
+func TestMemNetRegisterDuringExchange(t *testing.T) {
+	n := NewMemNet(false)
+	n.Register("stable", echoHandler(netx.MustParseAddr("192.0.2.1")))
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		h := echoHandler(netx.MustParseAddr("192.0.2.2"))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				n.Register("churn", h)
+			} else {
+				n.Deregister("churn")
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cl := n.Client(netx.AddrFrom4(10, 0, 0, byte(g)))
+			for i := 0; i < 500; i++ {
+				q := dnswire.NewQuery(uint16(i), "www.google.com", dnswire.TypeA)
+				if _, err := cl.Exchange(context.Background(), "stable", q); err != nil {
+					t.Errorf("stable server: %v", err)
+					return
+				}
+				if _, err := cl.Exchange(context.Background(), "churn", q); err != nil && err != ErrNoSuchServer {
+					t.Errorf("churning server: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+}

@@ -13,8 +13,9 @@ import (
 // unanswered exchanges (a dropped packet in simulation: nil response, nil
 // error) and truncated responses. Wrap outermost — outside any fault
 // injector — so the counters see what the caller sees, injected faults
-// included. Counters are order-independent sums, so the wrapper is safe
-// on transports shared by concurrent workers; a nil registry discards.
+// included. Counters are order-independent sums, striped so concurrent
+// adds do not share a cache line, so the wrapper is safe and cheap on
+// transports shared by concurrent workers; a nil registry discards.
 func Instrument(reg *metrics.Registry, name string, next Exchanger) Exchanger {
 	if reg == nil {
 		return next

@@ -18,6 +18,7 @@ package gpdns
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clientmap/internal/dnswire"
@@ -47,6 +48,12 @@ const poolStripes = 16
 // stripe: FIFO eviction is defined over the pool's global insertion order,
 // and striping it would change which entries a full pool drops.
 type pool struct {
+	// filled is set by the first insert and never cleared. A pool nothing
+	// was ever inserted into is empty, so lookup answers a miss from this
+	// one read-only word instead of hashing the name and locking a shard —
+	// in a lazily filled campaign the prober's RD=0 snoops never insert,
+	// and every probe would otherwise write a shard lock all workers use.
+	filled atomic.Bool
 	shards []poolShard
 	// capacity bounds the number of live entries (0 = unbounded); when
 	// full, the oldest insertion is evicted (FIFO, a fair approximation of
@@ -97,6 +104,9 @@ func (p *pool) shardFor(name string) *poolShard {
 // lookup returns the live entry whose scope covers src, preferring the most
 // specific cover. Scope-/0 entries cover everything.
 func (p *pool) lookup(name string, src netx.Prefix, now time.Time) (entry, bool) {
+	if !p.filled.Load() {
+		return entry{}, false
+	}
 	sh := p.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -121,6 +131,9 @@ func (p *pool) lookup(name string, src netx.Prefix, now time.Time) (entry, bool)
 
 // insert caches e, replacing an expired or same-scope entry for the name.
 func (p *pool) insert(e entry, now time.Time) {
+	if !p.filled.Load() {
+		p.filled.Store(true)
+	}
 	sh := p.shardFor(e.name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

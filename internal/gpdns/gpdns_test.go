@@ -195,8 +195,7 @@ func TestUDPRateLimitTripsTCPDoesNot(t *testing.T) {
 			t.Fatalf("TCP probe %d dropped below 1500 QPS", i)
 		}
 	}
-	_, _, limited := srv.Stats()
-	if limited == 0 {
+	if srv.Limited() == 0 {
 		t.Error("limited counter not incremented")
 	}
 }

@@ -2,7 +2,6 @@ package gpdns
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"clientmap/internal/authdns"
@@ -26,45 +25,68 @@ import (
 // and CDN generators and outlives Invalidate: churn never changes a
 // route.
 type LazyFill struct {
-	model   *traffic.Model
-	catalog map[string]domains.Domain
+	model *traffic.Model
+	// catalog indexes doms by name; the index is the domain's part of a
+	// rate-line key.
+	catalog map[string]int
+	doms    []domains.Domain
 	pools   int
 
-	// mu is read-held on the probe path: every probe consults ratesFor,
-	// and after warmup nearly all calls are hits on the memo map.
-	mu    sync.RWMutex
-	rates map[ratesKey]*scopeRates
-}
-
-// ratesKey identifies one (domain, scope) cache line. The struct key
-// replaces a concatenated "domain|scope" string that was rebuilt — one
-// allocation plus a prefix formatting — on every single probe.
-type ratesKey struct {
-	name  string
-	scope netx.Prefix
+	// rates is the (domain, scope) rate-line memo; its read path writes
+	// no shared memory (see rateMemo).
+	rates rateMemo
 }
 
 // scopeRates caches the per-PoP aggregated rates for one (domain, scope).
 type scopeRates struct {
-	perPoP map[int]float64
+	key uint64 // the line's rateKey
+	// perPoP holds the summed rate of each PoP the scope's clients reach,
+	// in first-seen order; a scope's /24s reach one PoP or a few.
+	perPoP []popRate
 	lon    float64
 	// diurn is the rate-weighted mean diurnality of the scope's clients.
 	diurn float64
 }
 
+type popRate struct {
+	pop  int
+	rate float64
+}
+
+// rate returns the summed rate of the scope's clients that reach pop.
+func (r *scopeRates) rate(pop int) float64 {
+	for _, pr := range r.perPoP {
+		if pr.pop == pop {
+			return pr.rate
+		}
+	}
+	return 0
+}
+
+// add adds rate to pop's sum. Each PoP's sum accumulates in the order
+// the scope's /24s are visited; that order fixes the sum's low bits, and
+// with them every lazily filled cache decision.
+func (r *scopeRates) add(pop int, rate float64) {
+	for i := range r.perPoP {
+		if r.perPoP[i].pop == pop {
+			r.perPoP[i].rate += rate
+			return
+		}
+	}
+	r.perPoP = append(r.perPoP, popRate{pop, rate})
+}
+
 // NewLazyFill builds the background-traffic model for the given per-PoP
 // pool count (which must match the server's).
 func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
-	cat := make(map[string]domains.Domain)
-	for _, d := range domains.Catalog() {
-		cat[d.Name] = d
+	doms := domains.Catalog()
+	cat := make(map[string]int, len(doms))
+	for i, d := range doms {
+		cat[d.Name] = i
 	}
-	return &LazyFill{
-		model:   model,
-		catalog: cat,
-		pools:   pools,
-		rates:   make(map[ratesKey]*scopeRates),
-	}
+	lf := &LazyFill{model: model, catalog: cat, doms: doms, pools: pools}
+	lf.rates.reset()
+	return lf
 }
 
 // Invalidate drops every memoized (domain, scope) rate line. The memo
@@ -75,26 +97,23 @@ func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
 // recompute rates from the same post-churn world instead of one of them
 // serving stale memo entries. The model's per-/24 route memo is kept:
 // routes do not depend on anything churn changes.
-func (lf *LazyFill) Invalidate() {
-	lf.mu.Lock()
-	lf.rates = make(map[ratesKey]*scopeRates)
-	lf.mu.Unlock()
-}
+func (lf *LazyFill) Invalidate() { lf.rates.reset() }
 
 // ratesFor aggregates (and memoizes) the per-PoP client query rates for a
 // (domain, scope) cache line. Rates are read from the live world on a
 // memo miss; each client /24's PoP comes from the model's route memo,
 // so a line rebuilt after Invalidate routes no prefix twice.
-func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
-	key := ratesKey{name: d.Name, scope: scope}
-	lf.mu.RLock()
-	r, ok := lf.rates[key]
-	lf.mu.RUnlock()
-	if ok {
+func (lf *LazyFill) ratesFor(di int, scope netx.Prefix) *scopeRates {
+	key := rateKey(di, scope)
+	if r := lf.rates.get(key); r != nil {
 		return r
 	}
+	return lf.rates.getOrBuild(key, func() *scopeRates { return lf.buildRates(&lf.doms[di], scope) })
+}
 
-	r = &scopeRates{perPoP: make(map[int]float64)}
+// buildRates computes the rate line of (d, scope) from the live world.
+func (lf *LazyFill) buildRates(d *domains.Domain, scope netx.Prefix) *scopeRates {
+	r := &scopeRates{}
 	first := true
 	var rateSum, diurnSum float64
 	w := lf.model.W
@@ -111,12 +130,12 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 			r.lon = pi.Coord.Lon
 			first = false
 		}
-		rate := lf.model.GoogleDNSRate(pi, d)
+		rate := lf.model.GoogleDNSRate(pi, *d)
 		if rate <= 0 {
 			return true
 		}
 		pop := lf.model.ClientPoP(i)
-		r.perPoP[pop] += rate
+		r.add(pop, rate)
 		rateSum += rate
 		diurnSum += rate * float64(pi.Diurnality)
 		return true
@@ -126,16 +145,6 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 	} else {
 		r.diurn = 1
 	}
-
-	lf.mu.Lock()
-	if prev, ok := lf.rates[key]; ok {
-		// Another worker computed the same line concurrently; keep one
-		// instance so every caller shares the memo.
-		r = prev
-	} else {
-		lf.rates[key] = r
-	}
-	lf.mu.Unlock()
 	return r
 }
 
@@ -148,20 +157,21 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 // 7871 cache semantics a hit requires the cached scope to cover the query
 // source, so a query at a stale or flipped scope can legitimately miss.
 func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, now time.Time) (entry, bool) {
-	d, ok := lf.catalog[name]
+	di, ok := lf.catalog[name]
 	if !ok {
 		return entry{}, false
 	}
+	d := &lf.doms[di]
 	if !d.SupportsECS {
 		// Non-ECS domains have one global cache line per PoP; for a
 		// popular domain it is effectively always warm, with scope 0.
 		exp := now.Add(d.TTL / 2)
 		return entry{name: name, addr: lazyAddr(name), scope: netx.PrefixFrom(0, 0), expiry: exp}, true
 	}
-	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, d, src)
-	rates := lf.ratesFor(d, natural)
-	rate, ok := rates.perPoP[popIdx]
-	if !ok || rate <= 0 {
+	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, *d, src)
+	rates := lf.ratesFor(di, natural)
+	rate := rates.rate(popIdx)
+	if rate <= 0 {
 		return entry{}, false
 	}
 	// Sampler key "gpdns/<name>/<natural>/<pop>/<pool>", byte-built in
@@ -198,7 +208,7 @@ func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, no
 
 // cachedScope applies fill-time scope instability: mostly the natural
 // scope, occasionally shifted a few bits — deterministic per cache fill.
-func (lf *LazyFill) cachedScope(d domains.Domain, natural netx.Prefix, popIdx, poolIdx int, arrival time.Time) netx.Prefix {
+func (lf *LazyFill) cachedScope(d *domains.Domain, natural netx.Prefix, popIdx, poolIdx int, arrival time.Time) netx.Prefix {
 	seed := lf.model.W.Cfg.Seed
 	fill := arrival.UnixNano()
 	// Byte-identical to the former fmt.Sprintf("gpdns/flip/%s/%s/%d/%d/%d")

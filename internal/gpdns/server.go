@@ -76,10 +76,12 @@ type Server struct {
 	tcpLims map[netx.Addr]*dnsnet.TokenBucket
 
 	poolCtr atomic.Uint64
-	// Stats counters.
-	queries, hits, limited atomic.Uint64
+	// limited counts rate-limited drops. It is written only on the
+	// unscheduled (bucket-checked) paths, never per probe.
+	limited atomic.Uint64
 
-	// Registry mirrors of the counters above, plus rate-limit occupancy.
+	// Registry counters (striped, so per-query adds from concurrent
+	// workers do not share a cache line), plus rate-limit occupancy.
 	mQueries, mHits, mLimited, mBuckets *metrics.Counter
 	mTokens                             *metrics.Histogram
 }
@@ -165,10 +167,8 @@ func (s *Server) SetClientRouter(f func(netx.Addr) int) {
 	s.routes.Store(&routeTable{vantages: old.vantages, clients: f})
 }
 
-// Stats reports (queries served, cache hits, rate-limited drops).
-func (s *Server) Stats() (queries, hits, limited uint64) {
-	return s.queries.Load(), s.hits.Load(), s.limited.Load()
-}
+// Limited reports how many queries the transport rate limits dropped.
+func (s *Server) Limited() uint64 { return s.limited.Load() }
 
 func (s *Server) route(from netx.Addr) int {
 	rt := s.routes.Load()
@@ -183,7 +183,6 @@ func (s *Server) route(from netx.Addr) int {
 
 // ServeDNS implements dnsnet.Handler without transport rate limits.
 func (s *Server) ServeDNS(ctx context.Context, from netx.Addr, q *dnswire.Message) *dnswire.Message {
-	s.queries.Add(1)
 	s.mQueries.Inc()
 	popIdx := s.route(from)
 	if popIdx < 0 || popIdx >= len(s.sites) {
@@ -235,14 +234,12 @@ func (s *Server) ServeDNS(ctx context.Context, from netx.Addr, q *dnswire.Messag
 	p := st.pools[poolIdx]
 
 	if e, ok := p.lookup(qq.Name, src, now); ok {
-		s.hits.Add(1)
 		s.mHits.Inc()
 		return answerFor(q, e, now)
 	}
 	// Lazy background fill: would client-driven traffic have this cached?
 	if s.lazy != nil {
 		if e, ok := s.lazy.Lookup(popIdx, poolIdx, qq.Name, src, now); ok {
-			s.hits.Add(1)
 			s.mHits.Inc()
 			return answerFor(q, e, now)
 		}

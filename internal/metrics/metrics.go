@@ -32,11 +32,42 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Counter is a monotonically increasing sum. The zero value is ready to
 // use; a nil receiver discards.
-type Counter struct{ v atomic.Int64 }
+//
+// Probe workers on every core add to the same counters once per probe,
+// so a single atomic word would be a cache line all of them write: each
+// add would first have to pull the line from whichever core wrote it
+// last. The sum is instead spread over cache-line-padded stripes; a
+// goroutine adds to the stripe its stack address selects, so concurrent
+// workers mostly write lines no other core touches, and Value sums the
+// stripes. Addition commutes, so which stripe an add lands on never
+// changes a total.
+type Counter struct{ stripes [counterStripes]stripe }
+
+// counterStripes is the number of stripes per Counter (a power of two).
+const counterStripes = 32
+
+// stripe is one cache line of a Counter.
+type stripe struct {
+	v atomic.Int64
+	_ [56]byte
+}
+
+// stripeIndex picks the calling goroutine's stripe by hashing the 2 KB
+// block of its stack (the smallest stack a goroutine has) that holds a
+// local variable. Goroutine stacks are disjoint, so goroutines running at
+// the same time mostly map to different stripes, and one goroutine keeps
+// mapping to the same one or two while its stack stays put. The choice
+// only spreads contention; any stripe is correct.
+func stripeIndex() int {
+	var probe byte
+	sp := uint64(uintptr(unsafe.Pointer(&probe)))
+	return int((sp >> 11) * 0x9E3779B97F4A7C15 >> (64 - 5))
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -46,7 +77,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	c.stripes[stripeIndex()].v.Add(n)
 }
 
 // Value returns the current sum.
@@ -54,7 +85,11 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	var sum int64
+	for i := range c.stripes {
+		sum += c.stripes[i].v.Load()
+	}
+	return sum
 }
 
 // Gauge is a last-write-wins level. Gauges are NOT order-independent

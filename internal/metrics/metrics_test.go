@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -172,4 +173,94 @@ func TestConcurrentSums(t *testing.T) {
 	if led["n"] != 8000 || led["h/count"] != 8000 || led["h/le=500"] != 8*501 {
 		t.Errorf("concurrent totals wrong: %v", led)
 	}
+}
+
+// TestStripedCounterExact checks the striped counter under contention:
+// many goroutines, at different stack depths (so their adds land on
+// many stripes), add different amounts to one counter while a reader
+// sums it; every read is monotone and the final total exact.
+func TestStripedCounterExact(t *testing.T) {
+	var c Counter
+	const workers, adds = 64, 2000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var last int64
+		for last < workers*adds*(workers+1)/2 {
+			v := c.Value()
+			if v < last {
+				t.Errorf("Value went backwards: %d after %d", v, last)
+				return
+			}
+			last = v
+		}
+	}()
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			addAtDepth(&c, w%7*50, int64(w), adds)
+		}(w)
+	}
+	wg.Wait()
+	<-done
+	if got, want := c.Value(), int64(workers*adds*(workers+1)/2); got != want {
+		t.Fatalf("striped total %d, want %d", got, want)
+	}
+}
+
+// addAtDepth adds n to c, adds times, from depth frames down the stack.
+func addAtDepth(c *Counter, depth int, n int64, adds int) {
+	if depth > 0 {
+		var frame [64]byte // grows each frame, spreading the call depths
+		addAtDepth(c, depth-1, n+int64(frame[depth%64]), adds)
+		return
+	}
+	for i := 0; i < adds; i++ {
+		c.Add(n)
+	}
+}
+
+// TestStripeLayout pins what the stripes exist for: each one fills a
+// cache line, and goroutines running at the same time spread over them.
+func TestStripeLayout(t *testing.T) {
+	if s := unsafe.Sizeof(stripe{}); s != 64 {
+		t.Errorf("stripe is %d bytes, want one 64-byte cache line", s)
+	}
+	const goroutines = 8
+	idx := make([]int, goroutines)
+	var started, release sync.WaitGroup
+	started.Add(goroutines)
+	release.Add(1)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			idx[g] = stripeIndex()
+			started.Done()
+			release.Wait() // keep every stack live until all have picked
+		}(g)
+	}
+	started.Wait()
+	release.Done()
+	distinct := map[int]bool{}
+	for _, i := range idx {
+		if i < 0 || i >= counterStripes {
+			t.Fatalf("stripeIndex = %d, want [0, %d)", i, counterStripes)
+		}
+		distinct[i] = true
+	}
+	if len(distinct) < 2 {
+		t.Errorf("%d live goroutines all picked stripe %d", goroutines, idx[0])
+	}
+}
+
+// BenchmarkCounterAddParallel adds to one counter from every CPU at once,
+// the access pattern of the per-probe counters.
+func BenchmarkCounterAddParallel(b *testing.B) {
+	var c Counter
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Inc()
+		}
+	})
 }

@@ -18,8 +18,11 @@ import (
 // Seed is the root seed of a simulation run.
 type Seed uint64
 
-// Stream is a deterministic random stream. It wraps math/rand with a seed
-// derived from (root seed, key) so distinct purposes never share state.
+// Stream is a deterministic random stream: a math/rand Rand over this
+// package's exact reimplementation of math/rand's source (source.go),
+// seeded from (root seed, key) so distinct purposes never share state.
+// Every draw equals the draw of rand.New(rand.NewSource(seed)) for the
+// same derived seed.
 type Stream struct {
 	*rand.Rand
 }
@@ -60,15 +63,16 @@ func hashKeyB(seed Seed, key []byte) int64 {
 
 // New returns the stream for the given purpose key.
 func (s Seed) New(key string) *Stream {
-	return &Stream{Rand: rand.New(rand.NewSource(hashKey(s, key)))}
+	return &Stream{Rand: rand.New(newSource(hashKey(s, key)))}
 }
 
 // Reseed repositions an existing stream onto the given purpose key: the
-// stream's subsequent draws are bit-identical to a fresh New(key) stream's,
-// but the ~5 KB generator state is reused instead of reallocated. Loops
-// that burn one short-lived stream per item (the root-trace generator
-// reseeds per source-hour) amortize their generator to one allocation.
-// Not safe concurrently with any use of the same stream.
+// stream's subsequent draws are bit-identical to a fresh New(key)
+// stream's. Reseeding costs O(1) and allocates nothing — the generator
+// materializes its register lazily as draws reach it — so loops that
+// sample one short-lived stream per item (the root-trace generator
+// reseeds per source, hour and category) pay only for the draws they
+// make. Not safe concurrently with any use of the same stream.
 func (s Seed) Reseed(r *Stream, key string) {
 	r.Rand.Seed(hashKey(s, key))
 }
@@ -210,6 +214,3 @@ func (s *Stream) LowerLetters(n int) string {
 	}
 	return string(b)
 }
-
-// Shuffle permutes the integers [0,n) and returns them.
-func (s *Stream) Perm2(n int) []int { return s.Perm(n) }

@@ -283,11 +283,11 @@ func (m *Model) CountInD(key string, rate, lon, diurn float64, start time.Time, 
 }
 
 // CountInDR is CountInD with a byte-slice key and a caller-owned stream
-// that is reseeded instead of constructed: the two changes remove the key
-// formatting and the ~5KB rand source allocation from per-bucket sampling
-// loops (the roots trace generator draws hundreds of thousands of
-// samples). The sampled value is bit-identical to CountInD with the equal
-// string key.
+// that is reseeded instead of constructed, so per-bucket sampling loops
+// (the roots trace generator and the CDN collection draw hundreds of
+// thousands of samples) format no key and allocate nothing; a reseed
+// costs O(1) (see randx.Seed.Reseed). The sampled value is bit-identical
+// to CountInD with the equal string key.
 func (m *Model) CountInDR(r *randx.Stream, key []byte, rate, lon, diurn float64, start time.Time, dur time.Duration) int {
 	if rate <= 0 || dur <= 0 {
 		return 0
