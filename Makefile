@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/statefs
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/randx
+	$(GO) test -run='^$$' -fuzz=FuzzMidstateMatchesHash -fuzztime=10s ./internal/randx
 
 # golden-update regenerates the golden regression corpus (the headline
 # statistics of a fixed small-scale campaign, the degraded-mode stats of

@@ -251,11 +251,19 @@ type CountryCoverage struct {
 }
 
 // CountryCoverageByAS computes Figure 3: per country, the fraction of
-// APNIC-estimated users in ASes the technique detected.
+// APNIC-estimated users in ASes the technique detected. Users are summed
+// in ascending ASN order: float addition is not associative, so summing
+// in map order would move a total's low bits from run to run.
 func CountryCoverageByAS(apnicUsers map[uint32]float64, asCountry map[uint32]string, detected func(uint32) bool) []CountryCoverage {
+	asns := make([]uint32, 0, len(apnicUsers))
+	for asn := range apnicUsers {
+		asns = append(asns, asn)
+	}
+	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
 	covered := make(map[string]float64)
 	total := make(map[string]float64)
-	for asn, users := range apnicUsers {
+	for _, asn := range asns {
+		users := apnicUsers[asn]
 		c := asCountry[asn]
 		if c == "" {
 			continue

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"clientmap/internal/core/datasets"
@@ -156,6 +157,51 @@ func TestCountryCoverageByAS(t *testing.T) {
 	}
 	if got := byCountry["BR"]; got.CoveredFrac != 0 {
 		t.Errorf("BR = %+v", got)
+	}
+}
+
+// TestCountryCoverageByASOrderIndependent rebuilds Figure 3's input maps
+// in many insertion orders. The user counts span many magnitudes, so any
+// summation order that follows map iteration would move a total's low
+// bits; every rebuild must give bit-identical Users and CoveredFrac.
+func TestCountryCoverageByASOrderIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const n = 400
+	asns := make([]uint32, n)
+	users := make([]float64, n)
+	countries := []string{"TR", "VN", "BR", "US"}
+	for i := range asns {
+		asns[i] = uint32(1000 + i*7)
+		users[i] = math.Pow(10, r.Float64()*9) * (1 + r.Float64())
+	}
+	detected := func(asn uint32) bool { return asn%3 != 0 }
+	build := func(order []int) []CountryCoverage {
+		u := make(map[uint32]float64, n)
+		c := make(map[uint32]string, n)
+		for _, i := range order {
+			u[asns[i]] = users[i]
+			c[asns[i]] = countries[i%len(countries)]
+		}
+		return CountryCoverageByAS(u, c, detected)
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	want := build(order)
+	if len(want) != len(countries) {
+		t.Fatalf("got %d countries, want %d", len(want), len(countries))
+	}
+	for trial := 0; trial < 50; trial++ {
+		r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		got := build(order)
+		for i := range want {
+			if got[i].Country != want[i].Country ||
+				math.Float64bits(got[i].Users) != math.Float64bits(want[i].Users) ||
+				math.Float64bits(got[i].CoveredFrac) != math.Float64bits(want[i].CoveredFrac) {
+				t.Fatalf("trial %d: %+v, want %+v", trial, got[i], want[i])
+			}
+		}
 	}
 }
 

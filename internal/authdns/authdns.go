@@ -93,18 +93,25 @@ func (s *Server) NaturalScope(domain string, src netx.Prefix) netx.Prefix {
 // NaturalScope is the package-level scope function, usable without a
 // Server by components that model client-driven cache fill.
 func NaturalScope(seed randx.Seed, d domains.Domain, src netx.Prefix) netx.Prefix {
+	return NaturalScopeMid(ScopeMid(seed, d.Name), d, src)
+}
+
+// ScopeMid is the hash midstate of d's natural-scope key: the FNV-1a
+// state after seed‖"authdns/scope/<name>/". The key's only varying part
+// is the block, so callers that ask about one domain many times (the
+// lazy cache-fill model, once per probe) compute this once per domain
+// and call NaturalScopeMid.
+func ScopeMid(seed randx.Seed, name string) randx.Mid {
+	return seed.Mid().String("authdns/scope/").String(name).Byte('/')
+}
+
+// NaturalScopeMid is NaturalScope continuing from mid = ScopeMid(seed,
+// d.Name): it hashes only the block's digits. The full key is the
+// former fmt.Sprintf("authdns/scope/%s/%s", d.Name, block).
+func NaturalScopeMid(mid randx.Mid, d domains.Domain, src netx.Prefix) netx.Prefix {
 	band := d.Scope.MaxBits - d.Scope.MinBits + 1
 	block := netx.PrefixFrom(src.Addr(), d.Scope.MinBits)
-	// Byte-built key, identical to the former
-	// fmt.Sprintf("authdns/scope/%s/%s", d.Name, block) — this function
-	// runs once per probe on the lazy-fill path, so the formatting
-	// allocation was hot.
-	var kb [80]byte
-	key := append(kb[:0], "authdns/scope/"...)
-	key = append(key, d.Name...)
-	key = append(key, '/')
-	key = block.AppendTo(key)
-	h := seed.Hash64B(key)
+	h := block.FoldHash(mid).Sum64()
 	bits := d.Scope.MinBits + int(h%uint64(band))
 	if bits > src.Bits() {
 		// Never answer more specifically than the /24-or-coarser question:

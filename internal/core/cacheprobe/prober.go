@@ -15,6 +15,7 @@ import (
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
 	"clientmap/internal/par"
+	"clientmap/internal/randx"
 )
 
 // Prober executes campaigns.
@@ -85,14 +86,18 @@ func (p *Prober) popFanout(pops int) int {
 // numbers keep a redundancy burst spread across a site's pools, which is
 // the reason redundant copies exist (§3.1.1).
 //
-// The hash domain "cacheprobe/txid/<key>" is byte-built in stack scratch
-// and must equal the former string concatenation — the ids select cache
-// pools, so any drift would move every probe's pool assignment.
+// The hash domain "cacheprobe/txid/<key>" is folded into a randx.Mid and
+// must hash exactly the former string concatenation — the ids select
+// cache pools, so any drift would move every probe's pool assignment.
 func (p *Prober) txidBase(key []byte) uint16 {
-	var kb [208]byte
-	k := append(kb[:0], "cacheprobe/txid/"...)
-	k = append(k, key...)
-	return uint16(p.cfg.Seed.Hash64B(k))
+	return uint16(p.txidMid(key).Sum64())
+}
+
+// txidMid is the txid hash's state after "cacheprobe/txid/<prefix>":
+// continuing it with the rest of a key gives txidBase of the whole key.
+// A pass hashes its constant "probe/<pass>/<pop>/" prefix once per chunk.
+func (p *Prober) txidMid(prefix []byte) randx.Mid {
+	return p.cfg.Seed.Mid().String("cacheprobe/txid/").Bytes(prefix)
 }
 
 // txidAt offsets the base id by the redundancy attempt, avoiding the
@@ -506,15 +511,6 @@ const probeChunk = 256
 type probeTask struct {
 	domain string
 	scope  netx.Prefix
-}
-
-// probeResult is a worker's index-slotted outcome for one task.
-type probeResult struct {
-	hit       bool
-	respScope netx.Prefix
-	at        time.Time
-	probes    int
-	retry     retryAccount
 }
 
 // Assignments is the stage-4 probe plan: per-PoP task lists derived from

@@ -2,9 +2,11 @@ package cacheprobe_test
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/dnsnet"
@@ -208,5 +210,60 @@ func TestLowerBound24Count(t *testing.T) {
 	}
 	if got := camp.Upper24s().Len(); got != 256+1+16 {
 		t.Errorf("upper bound = %d, want 273", got)
+	}
+}
+
+// TestProbePassHeapPerTask bounds what one probing pass allocates per
+// task on a tiny world. The shard's outcome slice is sized once and
+// written in place, and the gather step folds straight from it, so a
+// pass costs about one ShardTaskResult per task. An unsized append or a
+// second per-task copy of the outcomes would each add another.
+func TestProbePassHeapPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate measures the non-race build: the race runtime drops pooled buffers")
+	}
+	s, err := sim.New(sim.Config{Seed: 303, Scale: world.ScaleTiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.ProberConfig()
+	cfg.Duration = 12 * time.Hour
+	cfg.Passes = 3
+	cfg.Workers = 1
+	p := s.Prober(cfg)
+	ctx := context.Background()
+	start := cfg.Clock.Now()
+	camp := cacheprobe.NewCampaign()
+	pops, err := p.DiscoverPoPs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PreScan(ctx, camp); err != nil {
+		t.Fatal(err)
+	}
+	p.Calibrate(ctx, pops, camp)
+	asg := p.BuildAssignments(pops, s.PoPCoords(), camp)
+	tasks := 0
+	for pi := 0; pi < asg.NumPoPs(); pi++ {
+		tasks += asg.NumTasks(pi)
+	}
+	if tasks < 1000 {
+		t.Fatalf("tiny world assigned %d tasks; too few to measure per-task cost", tasks)
+	}
+	// Pass 0 warms the per-PoP metric handles and the lazy-fill memos.
+	if _, err := p.ProbePassDelta(ctx, pops, asg, 0, start, camp); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.ProbePassDelta(ctx, pops, asg, 1, start, camp); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / float64(tasks)
+	limit := 1.5 * float64(unsafe.Sizeof(cacheprobe.ShardTaskResult{}))
+	t.Logf("pass 1: %d tasks, %.1f heap bytes per task (limit %.0f)", tasks, perTask, limit)
+	if perTask > limit {
+		t.Errorf("ProbePassDelta allocates %.1f bytes per task, want <= %.0f (1.5 × ShardTaskResult)", perTask, limit)
 	}
 }

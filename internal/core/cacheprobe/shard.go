@@ -22,9 +22,10 @@ import (
 // block) units and deals them into N shards. ProbeShard executes one
 // shard's units against the shared world seed and exports a ShardResult:
 // index-slotted task outcomes plus the shard's *deltas* of the fault,
-// metrics and breaker-window ledgers. GatherPass reassembles the shards
-// into the exact per-(PoP, task) result layout the monolithic pass
-// produced and replays the sequential merge, yielding a PassDelta.
+// metrics and breaker-window ledgers. GatherPass checks that the shards'
+// units cover the assignment exactly once and replays the monolithic
+// pass's sequential merge over them, unit by unit in (PoP, task) order,
+// yielding a PassDelta.
 //
 // The decomposition is exact, not approximate: every probe's transaction
 // id, schedule timestamp, retry allowance, jitter and hedge decision is
@@ -137,7 +138,12 @@ type ShardResult struct {
 	Pass int
 	// Units are the units executed, in canonical (PoPIndex, Lo) order.
 	Units []ShardUnit
-	// Tasks holds one entry per task in the units' ranges, in unit order.
+	// Tasks is, by construction, the concatenation of Units: unit k's
+	// outcomes occupy the Hi−Lo entries after those of units 0..k−1, and
+	// the entry at offset i of unit u is task (u.PoPIndex, u.Lo+i).
+	// ProbeShard sizes Tasks once and its workers write each outcome
+	// into its unit's sub-slice; GatherPass rejects a result that breaks
+	// the layout and otherwise folds straight from these slices.
 	Tasks []ShardTaskResult
 	// Faults is the delta of injected-fault counters over the shard's
 	// execution.
@@ -191,12 +197,20 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 		return units[i].Lo < units[j].Lo
 	})
 
+	// Size Tasks once; each unit owns the disjoint sub-slice at its
+	// offset, so the probe workers write every outcome where it lands.
+	sr := &ShardResult{Pass: pass, Units: units}
+	offs := make([]int, len(units)+1)
+	for ui, u := range units {
+		offs[ui+1] = offs[ui] + u.Hi - u.Lo
+	}
+	sr.Tasks = make([]ShardTaskResult, offs[len(units)])
+
 	_, isSim := p.cfg.Clock.(*clockx.Sim)
 	unitFanout := 1
 	if p.workers() > 1 {
 		unitFanout = len(units)
 	}
-	res := make([][]probeResult, len(units))
 	par.ForEach(len(units), unitFanout, func(ui int) {
 		u := units[ui]
 		pop := u.PoP
@@ -204,13 +218,15 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 		tasks := asg.tasks[u.PoPIndex]
 		delays := p.m.popDelay(pop)
 		allowScope := "probe/" + strconv.Itoa(pass) + "/" + pop
-		out := make([]probeResult, u.Hi-u.Lo)
+		out := sr.Tasks[offs[ui]:offs[ui+1]]
 		par.ForEachChunked(u.Hi-u.Lo, p.workers(), probeChunk, func(clo, chi int) {
 			// Per-chunk scratch, identical to the monolithic pass loop
 			// (see ProbePass's former body): one pooled query message, a
-			// key buffer pre-filled with "probe/<pass>/<pop>/", one
-			// re-stamped time carrier. Chunk boundaries carry no state, so
-			// splitting a PoP's tasks across units changes nothing.
+			// key buffer pre-filled with "probe/<pass>/<pop>/", the txid
+			// hash's midstate over "cacheprobe/txid/probe/<pass>/<pop>/",
+			// one re-stamped time carrier and one retry account. Chunk
+			// boundaries carry no state, so splitting a PoP's tasks
+			// across units changes nothing.
 			q := dnswire.AcquireMessage()
 			defer dnswire.ReleaseMessage(q)
 			var kb [192]byte
@@ -220,6 +236,7 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 			keyBuf = append(keyBuf, pop...)
 			keyBuf = append(keyBuf, '/')
 			popLen := len(keyBuf)
+			txid := p.txidMid(keyBuf)
 			tctx := ctx
 			var carrier *clockx.TimeCarrier
 			if isSim {
@@ -227,6 +244,7 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 				tctx = carrier
 			}
 			var hedge hedgeOption
+			var acct retryAccount
 			for i := clo; i < chi; i++ {
 				// ti is the task's global index in the PoP's full list:
 				// schedules, allowances and keys must not see the shard.
@@ -234,6 +252,8 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 				tk := tasks[ti]
 				pv := v
 				r := &out[i]
+				r.PoPIndex, r.TaskIndex = u.PoPIndex, ti
+				acct = retryAccount{delays: delays}
 				if plans != nil {
 					rt := plans[u.PoPIndex].route(ti)
 					if rt.kind == health.RouteLost {
@@ -241,53 +261,34 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 					}
 					pv = rt.v
 					hedge = plans[u.PoPIndex].hedgeFor(rt)
-					r.retry.hedge = &hedge
+					acct.hedge = &hedge
 				}
 				offset := time.Duration(float64(passWindow) * float64(ti) / float64(len(tasks)+1))
 				if carrier != nil {
 					carrier.T = passStart.Add(offset)
 				}
-				r.retry.remaining = p.retryAllowance(allowScope, ti, len(tasks))
-				r.retry.delays = delays
+				acct.remaining = p.retryAllowance(allowScope, ti, len(tasks))
 				key := append(keyBuf[:popLen], tk.domain...)
 				key = append(key, '/')
 				key = tk.scope.AppendTo(key)
 				kLen := len(key)
-				base := p.txidBase(key)
+				base := uint16(txid.Bytes(key[popLen:]).Sum64())
 				for a := 0; a < p.cfg.Redundancy; a++ {
 					ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-					hit, respScope := p.snoop(tctx, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &r.retry)
-					r.probes++
+					hit, respScope := p.snoop(tctx, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &acct)
+					r.Probes++
 					if hit {
-						r.hit, r.respScope = true, respScope
-						r.at = clockx.NowIn(tctx, p.cfg.Clock)
+						r.Hit, r.RespScope = true, respScope
+						r.At = clockx.NowIn(tctx, p.cfg.Clock)
 						break
 					}
 				}
+				r.RetrySpent, r.RetryRecovered, r.RetryExhausted = acct.spent, acct.recovered, acct.exhausted
+				r.HedgeFired, r.HedgeWon = acct.hedgeFired, acct.hedgeWon
 			}
 		})
-		res[ui] = out
 	})
 
-	sr := &ShardResult{Pass: pass, Units: units}
-	for ui, u := range units {
-		for i := range res[ui] {
-			r := &res[ui][i]
-			sr.Tasks = append(sr.Tasks, ShardTaskResult{
-				PoPIndex:       u.PoPIndex,
-				TaskIndex:      u.Lo + i,
-				Hit:            r.hit,
-				RespScope:      r.respScope,
-				At:             r.at,
-				Probes:         r.probes,
-				RetrySpent:     r.retry.spent,
-				RetryRecovered: r.retry.recovered,
-				RetryExhausted: r.retry.exhausted,
-				HedgeFired:     r.retry.hedgeFired,
-				HedgeWon:       r.retry.hedgeWon,
-			})
-		}
-	}
 	sr.Metrics = p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(mBefore)
 	sr.Faults = p.cfg.FaultCounters.Snapshot().Sub(fBefore)
 	if p.cfg.Health != nil {
@@ -301,8 +302,10 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 // this process or be decoded from other runners' snapshots; either way
 // the merge replays the monolithic pass's sequential fold in (sorted
 // PoP, task index) order, so the applied campaign is byte-identical to
-// the single-process pass. Errors if the shards do not cover the
-// assignment exactly once.
+// the single-process pass. It reads the outcomes where the shards hold
+// them, walking their units in that order, without copying them into a
+// per-PoP layout first. Errors if the shards do not cover the assignment
+// exactly once or break ShardResult's Tasks/Units layout.
 func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign, results []*ShardResult) (*PassDelta, error) {
 	popNames := asg.popNames
 	passWindow := p.cfg.Duration / time.Duration(p.cfg.Passes)
@@ -332,50 +335,12 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 	p.healthSync(camp, passStart)
 	plans := p.planPass(pops, asg, camp, pass, passStart)
 
-	// Reassemble the monolithic pass's per-(PoP, task) result layout and
-	// verify exactly-once coverage.
-	res := make([][]probeResult, len(popNames))
-	seen := make([][]bool, len(popNames))
-	for pi := range popNames {
-		res[pi] = make([]probeResult, len(asg.tasks[pi]))
-		seen[pi] = make([]bool, len(asg.tasks[pi]))
+	spans, hits, err := coverage(pass, asg, results)
+	if err != nil {
+		return nil, err
 	}
-	for _, sr := range results {
-		if sr == nil {
-			return nil, fmt.Errorf("cacheprobe: gather pass %d: missing shard result", pass)
-		}
-		if sr.Pass != pass {
-			return nil, fmt.Errorf("cacheprobe: gather pass %d: shard result is for pass %d", pass, sr.Pass)
-		}
-		for _, tr := range sr.Tasks {
-			if tr.PoPIndex < 0 || tr.PoPIndex >= len(popNames) || tr.TaskIndex < 0 || tr.TaskIndex >= len(res[tr.PoPIndex]) {
-				return nil, fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d) outside the assignment", pass, tr.PoPIndex, tr.TaskIndex)
-			}
-			if seen[tr.PoPIndex][tr.TaskIndex] {
-				return nil, fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d) covered twice", pass, tr.PoPIndex, tr.TaskIndex)
-			}
-			seen[tr.PoPIndex][tr.TaskIndex] = true
-			res[tr.PoPIndex][tr.TaskIndex] = probeResult{
-				hit:       tr.Hit,
-				respScope: tr.RespScope,
-				at:        tr.At,
-				probes:    tr.Probes,
-				retry: retryAccount{
-					spent:      tr.RetrySpent,
-					recovered:  tr.RetryRecovered,
-					exhausted:  tr.RetryExhausted,
-					hedgeFired: tr.HedgeFired,
-					hedgeWon:   tr.HedgeWon,
-				},
-			}
-		}
-	}
-	for pi, pop := range popNames {
-		for ti, ok := range seen[pi] {
-			if !ok {
-				return nil, fmt.Errorf("cacheprobe: gather pass %d: task %d of PoP %s missing from the shards", pass, ti, pop)
-			}
-		}
+	if hits > 0 {
+		delta.Hits = make([]DeltaHit, 0, hits)
 	}
 
 	// Replay the sequential merge, accumulating into the delta instead of
@@ -390,50 +355,55 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 		// and the fold's key set must not depend on the shard split.
 		p.m.popDelay(pop)
 		var popProbes, popHits, popSpent int64
-		for ti := range res[pi] {
-			r := &res[pi][ti]
-			hitPoP := pop
-			if plans != nil {
-				rt := plans[pi].route(ti)
-				cov.Assigned++
-				switch rt.kind {
-				case health.RoutePrimary:
-					cov.Primary++
-				case health.RouteTrial:
-					cov.Trial++
-				case health.RouteAlternate:
-					cov.Alternate++
-					delta.Health.FailOver(pop)
-					p.m.failoverVantage.Inc()
-				case health.RouteFallback:
-					cov.Fallback++
-					delta.Health.FailOver(pop)
-					p.m.failoverPoP.Inc()
-					hitPoP = rt.pop // hits belong to the PoP that served them
-				case health.RouteLost:
-					cov.Lost++
-					delta.Health.LoseTask(pop, ti)
-					p.m.failoverLost.Inc()
-					continue // the slot holds no probe to account
+		// The PoP's units, in task order, cover its list exactly once.
+		for ; len(spans) > 0 && spans[0].popIndex == pi; spans = spans[1:] {
+			for i := range spans[0].tasks {
+				r := &spans[0].tasks[i]
+				ti := r.TaskIndex
+				acct := r.account()
+				hitPoP := pop
+				if plans != nil {
+					rt := plans[pi].route(ti)
+					cov.Assigned++
+					switch rt.kind {
+					case health.RoutePrimary:
+						cov.Primary++
+					case health.RouteTrial:
+						cov.Trial++
+					case health.RouteAlternate:
+						cov.Alternate++
+						delta.Health.FailOver(pop)
+						p.m.failoverVantage.Inc()
+					case health.RouteFallback:
+						cov.Fallback++
+						delta.Health.FailOver(pop)
+						p.m.failoverPoP.Inc()
+						hitPoP = rt.pop // hits belong to the PoP that served them
+					case health.RouteLost:
+						cov.Lost++
+						delta.Health.LoseTask(pop, ti)
+						p.m.failoverLost.Inc()
+						continue // the slot holds no probe to account
+					}
+					delta.Health.AddHedges(int64(r.HedgeFired), int64(r.HedgeWon))
+					p.m.countHedges(&acct)
 				}
-				delta.Health.AddHedges(int64(r.retry.hedgeFired), int64(r.retry.hedgeWon))
-				p.m.countHedges(&r.retry)
-			}
-			sent := int64(r.probes + r.retry.spent + r.retry.hedgeFired)
-			delta.ProbesSent += int(sent)
-			popProbes += sent
-			popSpent += int64(r.retry.spent)
-			delta.Faults.addRetries(&r.retry)
-			p.m.countRetries(&r.retry)
-			if r.hit {
-				popHits++
-				delta.Hits = append(delta.Hits, DeltaHit{
-					Domain:     tasks[ti].domain,
-					QueryScope: tasks[ti].scope,
-					RespScope:  r.respScope,
-					PoP:        hitPoP,
-					At:         r.at,
-				})
+				sent := int64(r.Probes + r.RetrySpent + r.HedgeFired)
+				delta.ProbesSent += int(sent)
+				popProbes += sent
+				popSpent += int64(r.RetrySpent)
+				delta.Faults.addRetries(&acct)
+				p.m.countRetries(&acct)
+				if r.Hit {
+					popHits++
+					delta.Hits = append(delta.Hits, DeltaHit{
+						Domain:     tasks[ti].domain,
+						QueryScope: tasks[ti].scope,
+						RespScope:  r.RespScope,
+						PoP:        hitPoP,
+						At:         r.At,
+					})
+				}
 			}
 		}
 		p.m.probeProbes.Add(popProbes)
@@ -501,4 +471,113 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 
 	delta.Apply(camp)
 	return delta, nil
+}
+
+// account returns the task's retry and hedge counts as the retryAccount
+// the ledger folds take.
+func (t *ShardTaskResult) account() retryAccount {
+	return retryAccount{
+		spent:      t.RetrySpent,
+		recovered:  t.RetryRecovered,
+		exhausted:  t.RetryExhausted,
+		hedgeFired: t.HedgeFired,
+		hedgeWon:   t.HedgeWon,
+	}
+}
+
+// unitSpan is one executed unit's slice of its shard's task outcomes.
+type unitSpan struct {
+	popIndex, lo, hi int
+	tasks            []ShardTaskResult
+}
+
+// coverage checks that the shards hold the pass's outcomes for every
+// task of asg exactly once, and returns their non-empty units sorted by
+// (PoPIndex, Lo), each with its outcomes, and the number of hits they
+// hold (to size the delta's hit list once). Coverage is checked on unit
+// intervals; each outcome's (PoPIndex, TaskIndex) must match its
+// position in its unit (ShardResult's layout invariant), which also
+// catches a decoded shard whose tasks were shuffled or mislabeled.
+// Per-shard errors come in shard order, then overlaps, then gaps.
+func coverage(pass int, asg *Assignments, results []*ShardResult) (spans []unitSpan, hits int, err error) {
+	outside := func(pi, ti int) error {
+		return fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d) outside the assignment", pass, pi, ti)
+	}
+	for _, sr := range results {
+		if sr == nil {
+			return nil, 0, fmt.Errorf("cacheprobe: gather pass %d: missing shard result", pass)
+		}
+		if sr.Pass != pass {
+			return nil, 0, fmt.Errorf("cacheprobe: gather pass %d: shard result is for pass %d", pass, sr.Pass)
+		}
+		if n := unitsLen(sr.Units); n != len(sr.Tasks) {
+			return nil, 0, fmt.Errorf("cacheprobe: gather pass %d: shard holds %d task outcomes for units of %d tasks", pass, len(sr.Tasks), n)
+		}
+		off := 0
+		for _, u := range sr.Units {
+			if u.PoPIndex < 0 || u.PoPIndex >= len(asg.tasks) || u.Lo < 0 {
+				return nil, 0, outside(u.PoPIndex, u.Lo)
+			}
+			if n := len(asg.tasks[u.PoPIndex]); u.Hi > n {
+				return nil, 0, outside(u.PoPIndex, max(u.Lo, n))
+			}
+			ts := sr.Tasks[off : off+u.Hi-u.Lo]
+			off += len(ts)
+			for i := range ts {
+				if ts[i].Hit {
+					hits++
+				}
+				if ts[i].PoPIndex != u.PoPIndex || ts[i].TaskIndex != u.Lo+i {
+					return nil, 0, fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d) sits in the slot of task (%d,%d)",
+						pass, ts[i].PoPIndex, ts[i].TaskIndex, u.PoPIndex, u.Lo+i)
+				}
+			}
+			if len(ts) > 0 {
+				spans = append(spans, unitSpan{popIndex: u.PoPIndex, lo: u.Lo, hi: u.Hi, tasks: ts})
+			}
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].popIndex != spans[j].popIndex {
+			return spans[i].popIndex < spans[j].popIndex
+		}
+		return spans[i].lo < spans[j].lo
+	})
+	var gap error
+	missing := func(pi, ti int) {
+		if gap == nil {
+			gap = fmt.Errorf("cacheprobe: gather pass %d: task %d of PoP %s missing from the shards", pass, ti, asg.popNames[pi])
+		}
+	}
+	k := 0
+	for pi, tasks := range asg.tasks {
+		next := 0
+		for ; k < len(spans) && spans[k].popIndex == pi; k++ {
+			s := spans[k]
+			if s.lo < next {
+				return nil, 0, fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d) covered twice", pass, pi, s.lo)
+			}
+			if s.lo > next {
+				missing(pi, next)
+			}
+			next = s.hi
+		}
+		if next < len(tasks) {
+			missing(pi, next)
+		}
+	}
+	return spans, hits, gap
+}
+
+// unitsLen is the number of tasks the units span, or -1 if a unit is
+// malformed (Hi < Lo): no outcome count matches it.
+func unitsLen(units []ShardUnit) int {
+	n := 0
+	for _, u := range units {
+		if u.Hi < u.Lo {
+			return -1
+		}
+		n += u.Hi - u.Lo
+	}
+	return n
 }

@@ -7,7 +7,9 @@ import (
 
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnswire"
+	"clientmap/internal/domains"
 	"clientmap/internal/netx"
+	"clientmap/internal/world"
 )
 
 // TestPoolLookupAllocs gates the cache read path: a warm lookup costs
@@ -92,5 +94,62 @@ func TestSnoopRoundTripAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("snoop round trip allocates %.1f per run, want <= 1", allocs)
+	}
+}
+
+// TestLazySnoopRoundTripAllocs is TestSnoopRoundTripAllocs on the path a
+// campaign's probes take: the pool was never filled, so the answer comes
+// from the lazy cache-fill model (natural scope, rate line, arrival
+// sampler, fill-time flip). The same single allocation is budgeted.
+func TestLazySnoopRoundTripAllocs(t *testing.T) {
+	srv, model, router := lazySetup(t, 31)
+	google, _ := domains.ByName("www.google.com")
+	var busy *world.PrefixInfo
+	var busyRate float64
+	for i := range model.W.Prefixes {
+		pi := &model.W.Prefixes[i]
+		if rate := model.GoogleDNSRate(pi, google); rate > busyRate {
+			busy, busyRate = pi, rate
+		}
+	}
+	srv.RegisterVantage(vantageAddr, router.PoPForClient(busy.P, busy.Coord))
+	src := busy.P.Prefix()
+	ctx := clockx.WithTime(context.Background(), clockx.Epoch.Add(12*time.Hour))
+
+	q := dnswire.AcquireMessage()
+	defer dnswire.ReleaseMessage(q)
+	// Find a transaction id whose pool holds the line, which also builds
+	// the scope's rate line outside the measured loop.
+	id := uint16(0)
+	for ; id < 64; id++ {
+		q.SetQuery(id, "www.google.com", dnswire.TypeA)
+		q.RecursionDesired = false
+		q.WithECS(src)
+		resp := srv.ServeDNS(ctx, vantageAddr, q)
+		hit := resp != nil && len(resp.Answers) > 0
+		dnswire.ReleaseMessage(resp)
+		if hit {
+			break
+		}
+	}
+	if id == 64 {
+		t.Fatal("busiest prefix never hit the lazily filled cache")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		q.SetQuery(id, "www.google.com", dnswire.TypeA)
+		q.RecursionDesired = false
+		q.WithECS(src)
+		resp := srv.ServeDNS(ctx, vantageAddr, q)
+		if resp == nil {
+			t.Fatal("snoop dropped")
+		}
+		hit := len(resp.Answers) > 0
+		dnswire.ReleaseMessage(resp)
+		if !hit {
+			t.Fatal("lazy snoop missed")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("lazy snoop round trip allocates %.1f per run, want <= 1", allocs)
 	}
 }

@@ -1,12 +1,12 @@
 package gpdns
 
 import (
-	"strconv"
 	"time"
 
 	"clientmap/internal/authdns"
 	"clientmap/internal/domains"
 	"clientmap/internal/netx"
+	"clientmap/internal/randx"
 	"clientmap/internal/traffic"
 )
 
@@ -30,7 +30,9 @@ type LazyFill struct {
 	// rate-line key.
 	catalog map[string]int
 	doms    []domains.Domain
-	pools   int
+	// mids holds each catalog domain's key midstates, indexed like doms.
+	mids  []keyMids
+	pools int
 
 	// rates is the (domain, scope) rate-line memo; its read path writes
 	// no shared memory (see rateMemo).
@@ -46,6 +48,20 @@ type scopeRates struct {
 	lon    float64
 	// diurn is the rate-weighted mean diurnality of the scope's clients.
 	diurn float64
+}
+
+// keyMids are one catalog domain's hash midstates, computed once at
+// construction. Every per-probe hash key of the domain starts with a
+// constant "<purpose>/<name>/" prefix; Lookup continues from these
+// states and hashes only the key's varying tail (randx.Mid).
+type keyMids struct {
+	// scope is authdns.ScopeMid: seed‖"authdns/scope/<name>/".
+	scope randx.Mid
+	// ev and evt are traffic.EventMids of the sampler key prefix
+	// "gpdns/<name>/".
+	ev, evt randx.Mid
+	// flip is seed‖"gpdns/flip/<name>/".
+	flip randx.Mid
 }
 
 type popRate struct {
@@ -84,7 +100,18 @@ func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
 	for i, d := range doms {
 		cat[d.Name] = i
 	}
-	lf := &LazyFill{model: model, catalog: cat, doms: doms, pools: pools}
+	seed := model.W.Cfg.Seed
+	mids := make([]keyMids, len(doms))
+	for i, d := range doms {
+		ev, evt := model.EventMids([]byte("gpdns/" + d.Name + "/"))
+		mids[i] = keyMids{
+			scope: authdns.ScopeMid(seed, d.Name),
+			ev:    ev,
+			evt:   evt,
+			flip:  seed.Mid().String("gpdns/flip/").String(d.Name).Byte('/'),
+		}
+	}
+	lf := &LazyFill{model: model, catalog: cat, doms: doms, mids: mids, pools: pools}
 	lf.rates.reset()
 	return lf
 }
@@ -168,30 +195,24 @@ func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, no
 		exp := now.Add(d.TTL / 2)
 		return entry{name: name, addr: lazyAddr(name), scope: netx.PrefixFrom(0, 0), expiry: exp}, true
 	}
-	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, *d, src)
+	mids := &lf.mids[di]
+	natural := authdns.NaturalScopeMid(mids.scope, *d, src)
 	rates := lf.ratesFor(di, natural)
 	rate := rates.rate(popIdx)
 	if rate <= 0 {
 		return entry{}, false
 	}
-	// Sampler key "gpdns/<name>/<natural>/<pop>/<pool>", byte-built in
-	// stack scratch — these bytes must equal the fmt.Sprintf("%s/%s/%d/%d")
-	// key this line used before the zero-alloc rewrite, or every lazily
-	// filled cache line would move (pinned by TestLazyKeyBytesMatchSprintf).
-	var kb [96]byte
-	key := append(kb[:0], "gpdns/"...)
-	key = append(key, d.Name...)
-	key = append(key, '/')
-	key = natural.AppendTo(key)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(popIdx), 10)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(poolIdx), 10)
-	arrival, ok := lf.model.LastEventBeforeDB(key, rate/float64(lf.pools), rates.lon, rates.diurn, now, d.TTL)
+	// Sampler key "gpdns/<name>/<natural>/<pop>/<pool>", the former
+	// fmt.Sprintf("%s/%s/%d/%d") key, continued from the domain's
+	// midstates; if its hash drifted, every lazily filled cache line
+	// would move (pinned by TestLazyKeyBytesMatchSprintf).
+	ev := fillKey(mids.ev, natural, popIdx, poolIdx)
+	evt := fillKey(mids.evt, natural, popIdx, poolIdx)
+	arrival, ok := lf.model.LastEventBeforeMid(ev, evt, rate/float64(lf.pools), rates.lon, rates.diurn, now, d.TTL)
 	if !ok {
 		return entry{}, false
 	}
-	scope := lf.cachedScope(d, natural, popIdx, poolIdx, arrival)
+	scope := cachedScope(d, fillKey(mids.flip, natural, popIdx, poolIdx), natural, arrival)
 	// A cached scope more specific than the query source does not cover
 	// the source: cache miss (the prober will have probed the sibling
 	// scopes separately).
@@ -206,31 +227,24 @@ func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, no
 	}, true
 }
 
+// fillKey continues a domain's midstate with a cache line's varying key
+// tail "<natural>/<pop>/<pool>".
+func fillKey(m randx.Mid, natural netx.Prefix, popIdx, poolIdx int) randx.Mid {
+	return natural.FoldHash(m).Byte('/').Int(int64(popIdx)).Byte('/').Int(int64(poolIdx))
+}
+
 // cachedScope applies fill-time scope instability: mostly the natural
 // scope, occasionally shifted a few bits — deterministic per cache fill.
-func (lf *LazyFill) cachedScope(d *domains.Domain, natural netx.Prefix, popIdx, poolIdx int, arrival time.Time) netx.Prefix {
-	seed := lf.model.W.Cfg.Seed
-	fill := arrival.UnixNano()
-	// Byte-identical to the former fmt.Sprintf("gpdns/flip/%s/%s/%d/%d/%d")
-	// key; suffix draws reuse the buffer by truncating back to the base.
-	var kb [128]byte
-	key := append(kb[:0], "gpdns/flip/"...)
-	key = append(key, d.Name...)
-	key = append(key, '/')
-	key = natural.AppendTo(key)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(popIdx), 10)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(poolIdx), 10)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, fill, 10)
-	base := len(key)
-	u := seed.HashUnitB(key)
-	if u >= d.Scope.FlipProb {
+// line is the domain's flip midstate continued by fillKey; the hashed
+// keys equal the former fmt.Sprintf("gpdns/flip/%s/%s/%d/%d/%d") key
+// and its "/mag", "/m2", "/m3" and "/sign" suffix draws.
+func cachedScope(d *domains.Domain, line randx.Mid, natural netx.Prefix, arrival time.Time) netx.Prefix {
+	base := line.Byte('/').Int(arrival.UnixNano())
+	if base.Unit() >= d.Scope.FlipProb {
 		return natural
 	}
 	// Magnitude distribution mirrors authdns: mostly ±1-2 bits.
-	v := seed.HashUnitB(append(key[:base], "/mag"...))
+	v := base.String("/mag").Unit()
 	var delta int
 	switch {
 	case v < 0.5:
@@ -238,11 +252,11 @@ func (lf *LazyFill) cachedScope(d *domains.Domain, natural netx.Prefix, popIdx, 
 	case v < 0.8:
 		delta = 2
 	case v < 0.93:
-		delta = 3 + int(seed.Hash64B(append(key[:base], "/m2"...))%2)
+		delta = 3 + int(base.String("/m2").Sum64()%2)
 	default:
-		delta = 5 + int(seed.Hash64B(append(key[:base], "/m3"...))%4)
+		delta = 5 + int(base.String("/m3").Sum64()%4)
 	}
-	if seed.HashUnitB(append(key[:base], "/sign"...)) < 0.5 {
+	if base.String("/sign").Unit() < 0.5 {
 		delta = -delta
 	}
 	bits := natural.Bits() + delta

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"clientmap/internal/randx"
 )
 
 // Addr is an IPv4 address in host byte order (a.b.c.d == a<<24|b<<16|c<<8|d).
@@ -201,6 +203,14 @@ func (p Prefix) AppendTo(b []byte) []byte {
 	b = p.addr.AppendTo(b)
 	b = append(b, '/')
 	return strconv.AppendUint(b, uint64(p.bits), 10)
+}
+
+// FoldHash continues the hash state m with the CIDR bytes AppendTo
+// would append, without formatting them.
+func (p Prefix) FoldHash(m randx.Mid) randx.Mid {
+	b0, b1, b2, b3 := p.addr.Octets()
+	m = m.Uint(uint64(b0)).Byte('.').Uint(uint64(b1)).Byte('.').Uint(uint64(b2)).Byte('.').Uint(uint64(b3))
+	return m.Byte('/').Uint(uint64(p.bits))
 }
 
 // Slash24 identifies one of the 2^24 possible IPv4 /24 prefixes: the top 24

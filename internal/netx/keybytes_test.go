@@ -3,6 +3,8 @@ package netx
 import (
 	"testing"
 	"testing/quick"
+
+	"clientmap/internal/randx"
 )
 
 // TestAppendToMatchesString pins the allocation-free formatters against
@@ -41,5 +43,24 @@ func TestAppendToReusesBuffer(t *testing.T) {
 	buf = p.AppendTo(buf)
 	if got, want := string(buf), "key/"+p.String(); got != want {
 		t.Errorf("composed key = %q, want %q", got, want)
+	}
+}
+
+// TestFoldHashMatchesAppendTo: folding a prefix into a hash midstate
+// equals hashing the bytes AppendTo renders, so keys hashed from
+// midstates keep every value the byte-built keys had.
+func TestFoldHashMatchesAppendTo(t *testing.T) {
+	base := randx.Seed(2021).Mid().String("k/")
+	prefixProp := func(raw uint32, bits uint8) bool {
+		p := PrefixFrom(Addr(raw), int(bits%33))
+		return p.FoldHash(base) == base.Bytes(p.AppendTo(nil))
+	}
+	if err := quick.Check(prefixProp, nil); err != nil {
+		t.Errorf("Prefix.FoldHash diverges from AppendTo: %v", err)
+	}
+	for _, p := range []Prefix{{}, PrefixFrom(0xFFFFFFFF, 32), PrefixFrom(0x0A000000, 8), PrefixFrom(0xC6336400, 22)} {
+		if p.FoldHash(base) != base.Bytes(p.AppendTo(nil)) {
+			t.Errorf("%s: FoldHash diverges from AppendTo", p)
+		}
 	}
 }

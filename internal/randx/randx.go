@@ -28,7 +28,7 @@ type Stream struct {
 }
 
 // FNV-1a parameters (the same ones hash/fnv uses). The hot paths hash
-// append-built []byte keys with the hand-rolled loop below instead of
+// append-built []byte keys through Mid's hand-rolled fold instead of
 // hash/fnv's interface, which would force the key to escape; the two are
 // bit-identical over equal bytes, which keyhash_test pins.
 const (
@@ -51,14 +51,7 @@ func hashKey(seed Seed, key string) int64 {
 // hashKeyB is hashKey over a byte-slice key: identical output for equal
 // bytes, no allocation and no escape of the key slice.
 func hashKeyB(seed Seed, key []byte) int64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(seed>>(8*i)))) * fnvPrime64
-	}
-	for _, c := range key {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return int64(h)
+	return int64(seed.Mid().Bytes(key))
 }
 
 // New returns the stream for the given purpose key.

@@ -80,3 +80,55 @@ func TestLastEventBeforeDBMatchesString(t *testing.T) {
 		}
 	}
 }
+
+// TestLastEventBeforeMidMatchesStringKeys re-derives the cache-fill
+// sampler from its string hash keys "traffic/ev/<key>/<bucket>" and
+// "traffic/evt/<key>/<bucket>", and requires the midstate path — whole
+// key through EventMids, or a prefix's midstates continued with the
+// rest — to give the same answer.
+func TestLastEventBeforeMidMatchesStringKeys(t *testing.T) {
+	m := testModel(t)
+	window := 5 * time.Minute
+	ref := func(key string, rate float64, at time.Time) (time.Time, bool) {
+		bucket := at.UnixNano() / int64(window)
+		for _, b := range [2]int64{bucket, bucket - 1} {
+			bStart := time.Unix(0, b*int64(window))
+			mean := rate * window.Seconds() * DiurnalWeighted(bStart.Add(window/2), 139, 0.7)
+			if m.seed.HashUnit(fmt.Sprintf("traffic/ev/%s/%d", key, b)) >= 1-math.Exp(-mean) {
+				continue
+			}
+			ev := bStart.Add(time.Duration(m.seed.HashUnit(fmt.Sprintf("traffic/evt/%s/%d", key, b)) * float64(window)))
+			if b == bucket && ev.After(at) {
+				continue
+			}
+			if !ev.Before(at.Add(-window)) {
+				return ev, true
+			}
+		}
+		return time.Time{}, false
+	}
+	const prefix = "gpdns/www.wikipedia.org/"
+	pev, pevt := m.EventMids([]byte(prefix))
+	hits := 0
+	for i := 0; i < 400; i++ {
+		at := clockx.Epoch.Add(time.Duration(i) * 7919 * time.Second)
+		rest := fmt.Sprintf("10.%d.0.0/16/%d/%d", i%256, i%13, i%4)
+		rate := []float64{0.0005, 0.01, 0.2, 5}[i%4]
+		wantT, wantOK := ref(prefix+rest, rate, at)
+		ev, evt := m.EventMids([]byte(prefix + rest))
+		gotT, gotOK := m.LastEventBeforeMid(ev, evt, rate, 139, 0.7, at, window)
+		if gotOK != wantOK || !gotT.Equal(wantT) {
+			t.Fatalf("%s at %v: EventMids path (%v,%v), string keys (%v,%v)", prefix+rest, at, gotT, gotOK, wantT, wantOK)
+		}
+		gotT, gotOK = m.LastEventBeforeMid(pev.String(rest), pevt.String(rest), rate, 139, 0.7, at, window)
+		if gotOK != wantOK || !gotT.Equal(wantT) {
+			t.Fatalf("%s at %v: prefix midstates (%v,%v), string keys (%v,%v)", prefix+rest, at, gotT, gotOK, wantT, wantOK)
+		}
+		if wantOK {
+			hits++
+		}
+	}
+	if hits == 0 || hits == 400 {
+		t.Fatalf("%d of 400 samples saw an event; the check needs both outcomes", hits)
+	}
+}

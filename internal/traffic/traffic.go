@@ -321,43 +321,52 @@ func (m *Model) LastEventBeforeD(key string, rate, lon, diurn float64, t time.Ti
 }
 
 // LastEventBeforeDB is LastEventBeforeD with a byte-slice key, for callers
-// that assemble keys in reused buffers (the lazy cache-fill model calls
-// this once per probe). Results are bit-identical to the string variant.
+// that assemble keys in reused buffers. Results are bit-identical to the
+// string variant.
 func (m *Model) LastEventBeforeDB(key []byte, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
+	ev, evt := m.EventMids(key)
+	return m.LastEventBeforeMid(ev, evt, rate, lon, diurn, t, window)
+}
+
+// EventMids returns the hash midstates of a sampler key: the FNV-1a
+// states after seed‖"traffic/ev/"‖key (did an event occur) and
+// seed‖"traffic/evt/"‖key (when). The sampler hashes each key once, not
+// once per bucket; a caller whose keys share a prefix (the lazy
+// cache-fill model: "gpdns/<name>/" per catalog domain) can take the
+// midstates of the prefix and fold in the rest of each key itself.
+func (m *Model) EventMids(key []byte) (ev, evt randx.Mid) {
+	return m.seed.Mid().String("traffic/ev/").Bytes(key), m.seed.Mid().String("traffic/evt/").Bytes(key)
+}
+
+// LastEventBeforeMid is LastEventBeforeDB continuing from the key's
+// midstates (see EventMids): the per-bucket hash keys are
+// "traffic/ev/<key>/<bucket>" and "traffic/evt/<key>/<bucket>", and only
+// "/<bucket>" is hashed here. The lazy cache-fill model calls this once
+// per probe.
+func (m *Model) LastEventBeforeMid(ev, evt randx.Mid, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
 	if rate <= 0 || window <= 0 {
 		return time.Time{}, false
 	}
-	// Hash keys "traffic/ev/<key>/<bucket>" (did an event occur) and
-	// "traffic/evt/<key>/<bucket>" (when), assembled in stack scratch.
-	var evb, evtb [160]byte
-	kEv := append(evb[:0], "traffic/ev/"...)
-	kEv = append(kEv, key...)
-	kEv = append(kEv, '/')
-	evLen := len(kEv)
-	kEvt := append(evtb[:0], "traffic/evt/"...)
-	kEvt = append(kEvt, key...)
-	kEvt = append(kEvt, '/')
-	evtLen := len(kEvt)
+	ev, evt = ev.Byte('/'), evt.Byte('/')
 	bucket := t.UnixNano() / int64(window)
 	// Check the current bucket and the previous one: an event in either
 	// can still be within the lookback window.
 	for _, b := range [2]int64{bucket, bucket - 1} {
 		bStart := time.Unix(0, b*int64(window))
 		mean := rate * window.Seconds() * DiurnalWeighted(bStart.Add(window/2), lon, diurn)
-		u := m.seed.HashUnitB(strconv.AppendInt(kEv[:evLen], b, 10))
-		if u >= 1-math.Exp(-mean) {
+		if u := ev.Int(b).Unit(); u >= 1-math.Exp(-mean) {
 			continue // no event in this bucket
 		}
 		// Event time: uniform within the bucket, deterministic.
-		frac := m.seed.HashUnitB(strconv.AppendInt(kEvt[:evtLen], b, 10))
-		evt := bStart.Add(time.Duration(frac * float64(window)))
-		if b == bucket && evt.After(t) {
+		frac := evt.Int(b).Unit()
+		at := bStart.Add(time.Duration(frac * float64(window)))
+		if b == bucket && at.After(t) {
 			// The bucket's event hasn't happened yet; fall through to the
 			// previous bucket.
 			continue
 		}
-		if !evt.Before(t.Add(-window)) {
-			return evt, true
+		if !at.Before(t.Add(-window)) {
+			return at, true
 		}
 	}
 	return time.Time{}, false
